@@ -288,8 +288,7 @@ func (j *HashJoin) NextBatch(b *Batch) error {
 				continue
 			}
 			out := j.bp.carve(width, b.Cap())
-			n := copy(out, j.curLeft)
-			copy(out[n:], e.row)
+			j.emit(out, j.curLeft, e.row)
 			b.AppendOrd(out, j.bp.nextOrd())
 		}
 		if j.bp.probe == nil || j.bp.idx >= j.bp.probe.Len() {
@@ -343,8 +342,7 @@ func (j *IndexJoin) NextBatch(b *Batch) error {
 			inner := j.InnerTable.Row(j.cur[j.curIdx])
 			j.curIdx++
 			out := j.bp.carve(width, b.Cap())
-			n := copy(out, j.curOut)
-			copy(out[n:], inner)
+			j.emit(out, j.curOut, inner)
 			b.AppendOrd(out, j.bp.nextOrd())
 		}
 		if j.bp.probe == nil || j.bp.idx >= j.bp.probe.Len() {

@@ -200,6 +200,74 @@ func (p *Project) Describe() string {
 	return "Project(" + strings.Join(names, ", ") + ")"
 }
 
+// Picks names the columns a join emits, in order: positions in its left
+// (outer) input row, then positions in its right (inner) input row. A
+// join starts out emitting every column of both inputs; the planner
+// narrows it to the columns still live above the join (DESIGN.md §16).
+type Picks struct {
+	Left, Right []int
+}
+
+// joinOutput is the output layout shared by HashJoin, IndexJoin and
+// CrossJoin: the picks, the input schemas they index, and the resulting
+// output schema. Every joined row is filled by emit, the one copy loop
+// of all three joins, so a row carries only the picked values.
+type joinOutput struct {
+	picks       Picks
+	left, right RowSchema
+	schema      RowSchema
+}
+
+func newJoinOutput(left, right RowSchema) joinOutput {
+	p := Picks{Left: make([]int, len(left)), Right: make([]int, len(right))}
+	for i := range p.Left {
+		p.Left[i] = i
+	}
+	for i := range p.Right {
+		p.Right[i] = i
+	}
+	return joinOutput{picks: p, left: left, right: right, schema: left.Concat(right)}
+}
+
+// Schema implements Operator.
+func (o *joinOutput) Schema() RowSchema { return o.schema }
+
+// SetOutput narrows the join's output to p. It must run before any
+// expression is compiled against the join's schema. At least one column
+// must be picked: a zero-width row would be indistinguishable from the
+// nil end-of-stream row.
+func (o *joinOutput) SetOutput(p Picks) error {
+	if len(p.Left)+len(p.Right) == 0 {
+		return fmt.Errorf("exec: join output picks no columns: %w", qerr.ErrInternal)
+	}
+	schema := make(RowSchema, 0, len(p.Left)+len(p.Right))
+	for _, side := range []struct {
+		pos []int
+		in  RowSchema
+	}{{p.Left, o.left}, {p.Right, o.right}} {
+		for _, c := range side.pos {
+			if c < 0 || c >= len(side.in) {
+				return fmt.Errorf("exec: join output pick %d outside a %d-column input: %w", c, len(side.in), qerr.ErrInternal)
+			}
+			schema = append(schema, side.in[c])
+		}
+	}
+	o.picks, o.schema = p, schema
+	return nil
+}
+
+// emit fills out, len(o.schema) wide, with the picked values of one left
+// and one right row.
+func (o *joinOutput) emit(out, left, right []value.Value) {
+	for i, c := range o.picks.Left {
+		out[i] = left[c]
+	}
+	out = out[len(o.picks.Left):]
+	for i, c := range o.picks.Right {
+		out[i] = right[c]
+	}
+}
+
 // HashJoin is an equi-join: it builds a hash table on the right input keyed
 // by the right key expressions, then probes with left rows. NULL join keys
 // match nothing, as in SQL.
@@ -218,7 +286,7 @@ type HashJoin struct {
 	govHolder
 	statsHolder
 	batchHolder
-	schema  RowSchema
+	joinOutput
 	lk, rk  []Evaluator
 	build   *joinBuild
 	shard   bool          // probe shard sharing a split-time build
@@ -246,7 +314,7 @@ func NewHashJoin(left, right Operator, leftKeys, rightKeys []sqlparse.Expr) (*Ha
 		return nil, fmt.Errorf("exec: hash join needs matching non-empty key lists")
 	}
 	j := &HashJoin{Left: left, Right: right, LeftKeys: leftKeys, RightKeys: rightKeys}
-	j.schema = left.Schema().Concat(right.Schema())
+	j.joinOutput = newJoinOutput(left.Schema(), right.Schema())
 	for _, k := range leftKeys {
 		ev, err := Compile(k, left.Schema())
 		if err != nil {
@@ -263,8 +331,6 @@ func NewHashJoin(left, right Operator, leftKeys, rightKeys []sqlparse.Expr) (*Ha
 	}
 	return j, nil
 }
-
-func (j *HashJoin) Schema() RowSchema { return j.schema }
 
 // Open builds (or, for a probe shard, waits for) the hash table over the
 // right input.
@@ -321,9 +387,8 @@ func (j *HashJoin) Next() ([]value.Value, error) {
 			if !keysEqual(e.keys, j.curKeys) {
 				continue
 			}
-			out := make([]value.Value, 0, len(j.schema))
-			out = append(out, j.curLeft...)
-			out = append(out, e.row...)
+			out := make([]value.Value, len(j.schema))
+			j.emit(out, j.curLeft, e.row)
 			j.stats.incOut()
 			return out, nil
 		}
@@ -392,7 +457,7 @@ type IndexJoin struct {
 
 	govHolder
 	statsHolder
-	schema RowSchema
+	joinOutput
 	ok     Evaluator
 	index  *storage.HashIndex
 	cur    []int
@@ -417,14 +482,13 @@ func NewIndexJoin(outer Operator, inner *storage.Table, innerAlias string, outer
 		return nil, err
 	}
 	j.ok = ev
-	j.schema = outer.Schema()
-	for _, c := range inner.Schema.Columns {
-		j.schema = append(j.schema, ColInfo{Qualifier: j.InnerAlias, Name: c.Name, Type: c.Type})
+	innerSchema := make(RowSchema, len(inner.Schema.Columns))
+	for i, c := range inner.Schema.Columns {
+		innerSchema[i] = ColInfo{Qualifier: j.InnerAlias, Name: c.Name, Type: c.Type}
 	}
+	j.joinOutput = newJoinOutput(outer.Schema(), innerSchema)
 	return j, nil
 }
-
-func (j *IndexJoin) Schema() RowSchema { return j.schema }
 
 // Open opens the outer input.
 func (j *IndexJoin) Open() error {
@@ -443,9 +507,8 @@ func (j *IndexJoin) Next() ([]value.Value, error) {
 		for j.curIdx < len(j.cur) {
 			inner := j.InnerTable.Row(j.cur[j.curIdx])
 			j.curIdx++
-			out := make([]value.Value, 0, len(j.schema))
-			out = append(out, j.curOut...)
-			out = append(out, inner...)
+			out := make([]value.Value, len(j.schema))
+			j.emit(out, j.curOut, inner)
 			j.stats.incOut()
 			return out, nil
 		}
@@ -480,7 +543,7 @@ type CrossJoin struct {
 	govHolder
 	statsHolder
 	batchHolder
-	schema    RowSchema
+	joinOutput
 	rightRows [][]value.Value
 	reserved  int64
 	curLeft   []value.Value
@@ -489,10 +552,8 @@ type CrossJoin struct {
 
 // NewCrossJoin pairs every left row with every right row.
 func NewCrossJoin(left, right Operator) *CrossJoin {
-	return &CrossJoin{Left: left, Right: right, schema: left.Schema().Concat(right.Schema())}
+	return &CrossJoin{Left: left, Right: right, joinOutput: newJoinOutput(left.Schema(), right.Schema())}
 }
-
-func (j *CrossJoin) Schema() RowSchema { return j.schema }
 
 // Open materializes the right input.
 func (j *CrossJoin) Open() error {
@@ -524,9 +585,8 @@ func (j *CrossJoin) Next() ([]value.Value, error) {
 			return nil, err
 		}
 		if j.curLeft != nil && j.curIdx < len(j.rightRows) {
-			out := make([]value.Value, 0, len(j.schema))
-			out = append(out, j.curLeft...)
-			out = append(out, j.rightRows[j.curIdx]...)
+			out := make([]value.Value, len(j.schema))
+			j.emit(out, j.curLeft, j.rightRows[j.curIdx])
 			j.curIdx++
 			j.stats.incOut()
 			return out, nil

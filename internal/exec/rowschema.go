@@ -18,6 +18,12 @@ type ColInfo struct {
 	Type      value.Kind
 }
 
+// Matches reports whether a (possibly empty) qualifier and a name refer
+// to c, case-insensitively; an empty qualifier matches any table.
+func (c ColInfo) Matches(qualifier, name string) bool {
+	return c.Name == strings.ToLower(name) && (qualifier == "" || c.Qualifier == strings.ToLower(qualifier))
+}
+
 // RowSchema is the ordered column layout of an operator's rows.
 type RowSchema []ColInfo
 
@@ -25,14 +31,9 @@ type RowSchema []ColInfo
 // qualifier and name. Unqualified lookups that match more than one column
 // are ambiguous and rejected.
 func (rs RowSchema) Resolve(qualifier, name string) (int, error) {
-	qualifier = strings.ToLower(qualifier)
-	name = strings.ToLower(name)
 	found := -1
 	for i, c := range rs {
-		if c.Name != name {
-			continue
-		}
-		if qualifier != "" && c.Qualifier != qualifier {
+		if !c.Matches(qualifier, name) {
 			continue
 		}
 		if found >= 0 {
@@ -48,9 +49,9 @@ func (rs RowSchema) Resolve(qualifier, name string) (int, error) {
 
 func refString(q, n string) string {
 	if q == "" {
-		return n
+		return strings.ToLower(n)
 	}
-	return q + "." + n
+	return strings.ToLower(q + "." + n)
 }
 
 // Concat appends the columns of other after rs.
@@ -122,11 +123,21 @@ func explain(b *strings.Builder, op Operator, depth int) {
 	for i := 0; i < depth; i++ {
 		b.WriteString("  ")
 	}
-	b.WriteString(op.Describe())
+	b.WriteString(describe(op))
 	b.WriteByte('\n')
 	for _, c := range children(op) {
 		explain(b, c, depth+1)
 	}
+}
+
+// describe is op's EXPLAIN label: joins append their output width, which
+// column liveness narrows below the concatenation of their inputs.
+func describe(op Operator) string {
+	switch op.(type) {
+	case *HashJoin, *IndexJoin, *CrossJoin:
+		return fmt.Sprintf("%s cols=%d", op.Describe(), len(op.Schema()))
+	}
+	return op.Describe()
 }
 
 func children(op Operator) []Operator {

@@ -186,7 +186,7 @@ func explainAnalyze(b *strings.Builder, op Operator, depth int) {
 	for i := 0; i < depth; i++ {
 		b.WriteString("  ")
 	}
-	b.WriteString(op.Describe())
+	b.WriteString(describe(op))
 	if in, ok := op.(instrumented); ok {
 		if s := in.opStats(); s != nil {
 			fmt.Fprintf(b, " (in=%d out=%d", s.RowsIn(), s.RowsOut())

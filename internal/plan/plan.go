@@ -114,7 +114,7 @@ func (p *planner) plan() (exec.Operator, error) {
 	if err != nil {
 		return nil, err
 	}
-	root, err := p.buildJoinTree(sources, edges)
+	root, err := p.buildJoinTree(sources, edges, p.liveAboveJoins(residual))
 	if err != nil {
 		return nil, err
 	}
@@ -284,11 +284,95 @@ func asEquiJoin(e sqlparse.Expr, sources []*tableSource) (joinEdge, bool) {
 	return joinEdge{leftAlias: la, rightAlias: ra, leftKey: be.L, rightKey: be.R}, true
 }
 
+// liveCols is a set of column references still read above some point of
+// the join tree (DESIGN.md §16). A reference keeps every column it could
+// resolve to — the matching is exec.ColInfo.Matches, the rule
+// RowSchema.Resolve applies — so narrowing a join never turns an
+// ambiguous or unknown reference into a resolvable one, and never
+// changes which column a resolvable one names.
+type liveCols struct {
+	all  bool // SELECT *: every column is read
+	refs []*sqlparse.ColumnRef
+}
+
+// with returns l plus the column references inside exprs; l is not
+// modified.
+func (l liveCols) with(exprs ...sqlparse.Expr) liveCols {
+	out := liveCols{all: l.all, refs: l.refs[:len(l.refs):len(l.refs)]}
+	for _, e := range exprs {
+		sqlparse.WalkExpr(e, func(x sqlparse.Expr) bool {
+			if cr, ok := x.(*sqlparse.ColumnRef); ok {
+				out.refs = append(out.refs, cr)
+			}
+			return true
+		})
+	}
+	return out
+}
+
+func (l liveCols) keeps(c exec.ColInfo) bool {
+	if l.all {
+		return true
+	}
+	for _, r := range l.refs {
+		if c.Matches(r.Qualifier, r.Name) {
+			return true
+		}
+	}
+	return false
+}
+
+// liveAboveJoins collects the columns read above the whole join tree:
+// SELECT, GROUP BY and HAVING (aggregate arguments included) and the
+// residual multi-table predicates. ORDER BY is absent on purpose: its
+// keys resolve against the projected output (see buildSort), never
+// against join rows, so a select alias such as `ORDER BY revenue` keeps
+// nothing alive.
+func (p *planner) liveAboveJoins(residual []sqlparse.Expr) liveCols {
+	var l liveCols
+	for _, it := range p.stmt.Select {
+		l.all = l.all || it.Star
+		l = l.with(it.Expr)
+	}
+	return l.with(p.stmt.GroupBy...).with(residual...).with(p.stmt.Having)
+}
+
+// joinOp is a join whose output columns the planner can narrow.
+type joinOp interface {
+	exec.Operator
+	SetOutput(exec.Picks) error
+}
+
+// narrow restricts a freshly built join over a leftWidth-column left
+// input to the columns live above it. A join always keeps at least one
+// column (exec rejects zero-width rows), so a query reading no join
+// column, e.g. COUNT(*), carries the first left column.
+func narrow(j joinOp, leftWidth int, live liveCols) error {
+	var pk exec.Picks
+	for i, c := range j.Schema() {
+		switch {
+		case !live.keeps(c):
+		case i < leftWidth:
+			pk.Left = append(pk.Left, i)
+		default:
+			pk.Right = append(pk.Right, i-leftWidth)
+		}
+	}
+	if len(pk.Left)+len(pk.Right) == 0 {
+		pk.Left = []int{0}
+	}
+	return j.SetOutput(pk)
+}
+
 // buildJoinTree greedily composes the sources along equi-join edges,
 // starting from the source with the most filters (cheapest after
 // filtering, as a crude cardinality proxy) and preferring connected joins;
-// disconnected components fall back to cross joins.
-func (p *planner) buildJoinTree(sources []*tableSource, edges []joinEdge) (exec.Operator, error) {
+// disconnected components fall back to cross joins. Each step consumes
+// every pending edge between the joined set and the next table, so a join
+// cycle closes as a multi-key join and no edge is left over. Every join
+// emits only the columns live above it: those in live plus the keys of
+// the edges not yet consumed.
+func (p *planner) buildJoinTree(sources []*tableSource, edges []joinEdge, live liveCols) (exec.Operator, error) {
 	scan := func(s *tableSource) (exec.Operator, error) {
 		var op exec.Operator = p.newScan(s.table, s.ref.Alias)
 		if len(s.filters) > 0 {
@@ -350,7 +434,11 @@ func (p *planner) buildJoinTree(sources []*tableSource, edges []joinEdge) (exec.
 			if err != nil {
 				return nil, err
 			}
-			root = exec.NewCrossJoin(root, side)
+			cj := exec.NewCrossJoin(root, side)
+			if err := narrow(cj, len(root.Schema()), liveAbove(live, pending)); err != nil {
+				return nil, err
+			}
+			root = cj
 			joined[next] = true
 			delete(remaining, next)
 			continue
@@ -373,34 +461,33 @@ func (p *planner) buildJoinTree(sources []*tableSource, edges []joinEdge) (exec.
 		}
 		pending = rest
 
-		root, err = p.join(root, src, outerKeys, innerKeys)
+		j, err := p.join(root, src, outerKeys, innerKeys)
 		if err != nil {
 			return nil, err
 		}
+		if err := narrow(j, len(root.Schema()), liveAbove(live, pending)); err != nil {
+			return nil, err
+		}
+		root = j
 		joined[next] = true
 		delete(remaining, next)
 	}
-
-	// Edges whose both sides joined via another path (cycles) become
-	// residual filters.
-	var leftover []sqlparse.Expr
-	for _, e := range pending {
-		leftover = append(leftover, &sqlparse.BinaryExpr{Op: sqlparse.OpEq, L: e.leftKey, R: e.rightKey})
-	}
-	if len(leftover) > 0 {
-		f, err := exec.NewFilter(root, sqlparse.AndAll(leftover))
-		if err != nil {
-			return nil, err
-		}
-		root = f
-	}
 	return root, nil
+}
+
+// liveAbove adds the keys of the still-pending edges to live.
+func liveAbove(live liveCols, pending []joinEdge) liveCols {
+	keys := make([]sqlparse.Expr, 0, 2*len(pending))
+	for _, e := range pending {
+		keys = append(keys, e.leftKey, e.rightKey)
+	}
+	return live.with(keys...)
 }
 
 // join attaches src to the outer plan using the key lists; it prefers an
 // index join when enabled, the inner side has no pushed filter, a single
 // plain-column key, and a stored index.
-func (p *planner) join(outer exec.Operator, src *tableSource, outerKeys, innerKeys []sqlparse.Expr) (exec.Operator, error) {
+func (p *planner) join(outer exec.Operator, src *tableSource, outerKeys, innerKeys []sqlparse.Expr) (joinOp, error) {
 	if p.opts.PreferIndexJoin && len(src.filters) == 0 && len(innerKeys) == 1 {
 		if cr, ok := innerKeys[0].(*sqlparse.ColumnRef); ok {
 			if _, hasIdx := src.table.Index(cr.Name); hasIdx {
