@@ -228,41 +228,6 @@ func BenchmarkFig8Sharding(b *testing.B) {
 	}
 }
 
-// BenchmarkBatchSize sweeps rows-per-batch on Figure 8 Query 9 (the
-// heaviest pair of the workload), original and rewritten, serially: row
-// mode (n=-1) as the baseline, then 64/256/1024/4096 rows per batch.
-// Results are byte-identical at every size; the plateau from 256 up is
-// what pins exec.DefaultBatchSize, and the allocs/op column shows the
-// slab amortization the batch path buys (see BENCH_PR10.json).
-func BenchmarkBatchSize(b *testing.B) {
-	d := workload(b, 1, 3)
-	var q9 bench.QueryPair
-	for _, p := range queryPairs(b) {
-		if p.Number == 9 {
-			q9 = p
-		}
-	}
-	if q9.Original == nil {
-		b.Fatal("query 9 missing from bench.PreparePairs()")
-	}
-	for _, stmt := range []struct {
-		label string
-		q     *sqlparse.SelectStmt
-	}{{"original", q9.Original}, {"rewritten", q9.Rewritten}} {
-		for _, n := range []int{-1, 64, 256, exec.DefaultBatchSize, 4096} {
-			eng := engine.NewWithOptions(d.Store, engine.Options{Parallelism: 1, BatchSize: n})
-			b.Run(fmt.Sprintf("%s/batch=%d", stmt.label, n), func(b *testing.B) {
-				b.ReportAllocs()
-				for i := 0; i < b.N; i++ {
-					if _, err := eng.QueryStmt(stmt.q); err != nil {
-						b.Fatal(err)
-					}
-				}
-			})
-		}
-	}
-}
-
 // BenchmarkFig7ProbCalcParallelism times the §4 probability computation
 // on lineitem at worker counts 1, 2 and 4 (one task per cluster).
 func BenchmarkFig7ProbCalcParallelism(b *testing.B) {

@@ -13,9 +13,6 @@
 //	-timeout      per-query wall-clock budget (e.g. 30s; 0 means none)
 //	-parallelism  worker count for parallel scans, joins and aggregation
 //	              (0 = one worker per CPU; 1 forces serial execution)
-//	-batch-size   rows per execution batch (0 = the built-in default,
-//	              negative = row-at-a-time execution); results are
-//	              identical at every setting
 //	-metrics-addr address for the debug HTTP endpoint (/debug/metrics,
 //	              expvar, pprof); empty disables it. Bind localhost only —
 //	              the endpoint is unauthenticated (DESIGN.md §10).
@@ -78,7 +75,6 @@ func main() {
 	timeout := flag.Duration("timeout", 0, "per-query wall-clock budget (0 = none)")
 	par := flag.Int("parallelism", 0, "workers for parallel execution (0 = one per CPU, 1 = serial)")
 	shards := flag.Int("shards", 0, "cluster shards for partitioned scans (0 = one per CPU, 1 = unsharded)")
-	batchSize := flag.Int("batch-size", 0, "rows per execution batch (0 = default, negative = row-at-a-time)")
 	metricsAddr := flag.String("metrics-addr", "", "debug HTTP address for /debug/metrics, expvar and pprof (empty = off; bind localhost only)")
 	queryLogPath := flag.String("query-log", "", "file receiving one JSON line per executed query")
 	cacheBytes := flag.Int64("cache-bytes", 0, "byte budget for cached query results (0 = caching off)")
@@ -115,7 +111,7 @@ func main() {
 	if *cacheBytes > 0 {
 		qc = cachepkg.New(cachepkg.Options{MaxBytes: *cacheBytes})
 	}
-	eng := engine.NewWithOptions(d.Store, engine.Options{Limits: limits, Parallelism: *par, Shards: *shards, BatchSize: *batchSize, QueryLog: qlog, Cache: qc})
+	eng := engine.NewWithOptions(d.Store, engine.Options{Limits: limits, Parallelism: *par, Shards: *shards, QueryLog: qlog, Cache: qc})
 	sh := &shell{d: d, eng: eng, limits: limits, cache: qc, out: os.Stdout}
 
 	if *oneShot != "" {

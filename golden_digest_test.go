@@ -7,6 +7,7 @@
 package conquer
 
 import (
+	"context"
 	"crypto/sha256"
 	"encoding/binary"
 	"encoding/hex"
@@ -19,6 +20,9 @@ import (
 
 	"conquer/internal/bench"
 	"conquer/internal/engine"
+	"conquer/internal/exec"
+	"conquer/internal/plan"
+	"conquer/internal/sqlparse"
 	"conquer/internal/value"
 )
 
@@ -69,7 +73,10 @@ func resultDigest(r *engine.Result) string {
 // statements serially and unsharded on the determinism workload and
 // compares each result's row count and digest against
 // testdata/fig8_digests.golden (regenerate with CONQUER_UPDATE_GOLDEN=1;
-// a regenerated file is a deliberate change to query answers).
+// a regenerated file is a deliberate change to query answers). The
+// engine pass runs at its defaults; the plan passes drain plan.Plan trees
+// directly at batch sizes 1 (one row per pull) and 7 (every morsel split
+// unevenly), so batch boundaries cannot move any bit of any answer.
 func TestFig8GoldenDigests(t *testing.T) {
 	if testing.Short() {
 		t.Skip("generates a TPC-H workload")
@@ -80,25 +87,13 @@ func TestFig8GoldenDigests(t *testing.T) {
 		t.Fatal(err)
 	}
 	eng := engine.NewWithOptions(d.Store, engine.Options{Parallelism: 1, Shards: 1})
-	var got strings.Builder
-	for _, p := range pairs {
-		orig, err := eng.QueryStmt(p.Original)
-		if err != nil {
-			t.Fatalf("Q%d original: %v", p.Number, err)
-		}
-		rew, err := eng.QueryStmt(p.Rewritten)
-		if err != nil {
-			t.Fatalf("Q%d rewritten: %v", p.Number, err)
-		}
-		fmt.Fprintf(&got, "Q%d original rows=%d digest=%s\n", p.Number, len(orig.Rows), resultDigest(orig))
-		fmt.Fprintf(&got, "Q%d clean rows=%d digest=%s\n", p.Number, len(rew.Rows), resultDigest(rew))
-	}
+	got := fig8Digests(t, pairs, eng.QueryStmt)
 	golden := filepath.Join("testdata", "fig8_digests.golden")
 	if os.Getenv("CONQUER_UPDATE_GOLDEN") != "" {
 		if err := os.MkdirAll("testdata", 0o755); err != nil {
 			t.Fatal(err)
 		}
-		if err := os.WriteFile(golden, []byte(got.String()), 0o644); err != nil {
+		if err := os.WriteFile(golden, []byte(got), 0o644); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -106,7 +101,45 @@ func TestFig8GoldenDigests(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got.String() != string(want) {
-		t.Errorf("Figure 8 results drifted from %s.\ngot:\n%s\nwant:\n%s", golden, got.String(), want)
+	if got != string(want) {
+		t.Errorf("Figure 8 results drifted from %s.\ngot:\n%s\nwant:\n%s", golden, got, want)
 	}
+	for _, bs := range []int{1, 7} {
+		popts := plan.Options{Parallelism: 1, Shards: 1, BatchSize: bs}
+		got := fig8Digests(t, pairs, func(stmt *sqlparse.SelectStmt) (*engine.Result, error) {
+			op, err := plan.Plan(d.Store, stmt, popts)
+			if err != nil {
+				return nil, err
+			}
+			gov := exec.NewGovernor(context.Background(), exec.Limits{})
+			rows, _, err := exec.CollectBatchesGoverned(op, gov, bs)
+			if err != nil {
+				return nil, err
+			}
+			return &engine.Result{Columns: op.Schema().Names(), Rows: rows}, nil
+		})
+		if got != string(want) {
+			t.Errorf("batch size %d: Figure 8 results drifted from %s.\ngot:\n%s\nwant:\n%s", bs, golden, got, want)
+		}
+	}
+}
+
+// fig8Digests runs every pair through run and renders one golden line per
+// statement.
+func fig8Digests(t *testing.T, pairs []bench.QueryPair, run func(*sqlparse.SelectStmt) (*engine.Result, error)) string {
+	t.Helper()
+	var got strings.Builder
+	for _, p := range pairs {
+		orig, err := run(p.Original)
+		if err != nil {
+			t.Fatalf("Q%d original: %v", p.Number, err)
+		}
+		rew, err := run(p.Rewritten)
+		if err != nil {
+			t.Fatalf("Q%d rewritten: %v", p.Number, err)
+		}
+		fmt.Fprintf(&got, "Q%d original rows=%d digest=%s\n", p.Number, len(orig.Rows), resultDigest(orig))
+		fmt.Fprintf(&got, "Q%d clean rows=%d digest=%s\n", p.Number, len(rew.Rows), resultDigest(rew))
+	}
+	return got.String()
 }

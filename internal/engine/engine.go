@@ -27,8 +27,9 @@ import (
 
 // Options configures an Engine.
 type Options struct {
-	// Plan tunes physical planning (Plan.Parallelism is overwritten from
-	// Parallelism below at query time).
+	// Plan tunes physical planning (Plan.Parallelism and Plan.Shards are
+	// overwritten from the fields below at query time, and the engine
+	// always executes at exec.DefaultBatchSize).
 	Plan plan.Options
 	// Limits is the per-query execution budget.
 	Limits exec.Limits
@@ -42,12 +43,6 @@ type Options struct {
 	// only scheduling. Shard views are cached per table and rebuilt when
 	// the table version moves.
 	Shards int
-	// BatchSize tunes batch-at-a-time execution: 0 resolves to
-	// exec.DefaultBatchSize, positive values set the rows per batch, and
-	// negative values force row-at-a-time execution (the baseline the
-	// bench suite compares against). Results are identical either way;
-	// batching only amortizes per-row overheads (DESIGN.md §15).
-	BatchSize int
 	// NoInstrument disables per-operator instrumentation. Instrumentation
 	// is on by default — the counters are plain atomic adds and the bench
 	// suite guards the overhead — but benchmarks comparing instrumented
@@ -129,7 +124,7 @@ func (e *Engine) planOptions() plan.Options {
 			return e.shardedView(tb, n)
 		}
 	}
-	opts.BatchSize = e.opts.BatchSize
+	opts.BatchSize = 0
 	return opts
 }
 
@@ -195,11 +190,8 @@ type Stats struct {
 	// Zero when no sharded pipeline buffered rows; zeroed on cached
 	// results.
 	ShardBufferedMax int64
-	// BatchSize is the resolved rows-per-batch the query ran with (0
-	// means row-at-a-time execution).
-	BatchSize int
-	// Batches counts the output batches the root produced (0 in row
-	// mode or on cached results).
+	// Batches counts the output batches the root produced (0 on cached
+	// results).
 	Batches int64
 }
 
@@ -299,12 +291,10 @@ func (e *Engine) QueryStmtCtx(ctx context.Context, stmt *sqlparse.SelectStmt) (r
 // canonical statement text plus every planner option that changes the
 // physical plan. Parallelism is part of the key because parallel partial
 // aggregation re-associates float sums — results are only guaranteed
-// byte-identical at one worker count. The batch size travels resolved
-// (0 and DefaultBatchSize are the same plan) because a prepared tree
-// carries its batch size baked in by SetBatchSize.
+// byte-identical at one worker count.
 func resultKey(stmt *sqlparse.SelectStmt, popts plan.Options) string {
-	return fmt.Sprintf("%s|par=%d;idx=%t;sh=%d;bs=%d", stmt.SQL(), popts.Parallelism,
-		popts.PreferIndexJoin, popts.Shards, exec.ResolveBatchSize(popts.BatchSize))
+	return fmt.Sprintf("%s|par=%d;idx=%t;sh=%d", stmt.SQL(), popts.Parallelism,
+		popts.PreferIndexJoin, popts.Shards)
 }
 
 // stmtTables lists the tables the statement references.
@@ -364,15 +354,7 @@ func (e *Engine) executeStmt(ctx context.Context, stmt *sqlparse.SelectStmt, pop
 	gov := exec.NewGovernor(ctx, e.opts.Limits)
 	exec.Attach(op, gov)
 	execStart := time.Now()
-	var rows [][]value.Value
-	var batches int64
-	var err error
-	bs := exec.ResolveBatchSize(popts.BatchSize)
-	if bs > 0 {
-		rows, batches, err = exec.CollectBatchesGoverned(op, gov, bs)
-	} else {
-		rows, err = exec.CollectGoverned(op, gov)
-	}
+	rows, batches, err := exec.CollectBatchesGoverned(op, gov, exec.DefaultBatchSize)
 	if prep != nil {
 		if err != nil {
 			c.DropPlan(key)
@@ -392,7 +374,6 @@ func (e *Engine) executeStmt(ctx context.Context, stmt *sqlparse.SelectStmt, pop
 			BufferedPeak: gov.BufferedPeak(),
 			Rows:         len(rows),
 			Shards:       max(popts.Shards, 1),
-			BatchSize:    bs,
 			Batches:      batches,
 		},
 	}
@@ -504,12 +485,7 @@ func (e *Engine) ExplainAnalyzeCtx(ctx context.Context, sql string) (out string,
 	gov := exec.NewGovernor(ctx, e.opts.Limits)
 	exec.Attach(op, gov)
 	start := time.Now()
-	var rows [][]value.Value
-	if bs := exec.ResolveBatchSize(popts.BatchSize); bs > 0 {
-		rows, _, err = exec.CollectBatchesGoverned(op, gov, bs)
-	} else {
-		rows, err = exec.CollectGoverned(op, gov)
-	}
+	rows, _, err := exec.CollectBatchesGoverned(op, gov, exec.DefaultBatchSize)
 	if err != nil {
 		return "", err
 	}

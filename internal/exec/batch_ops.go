@@ -1,4 +1,4 @@
-// Native NextBatch implementations (DESIGN.md §15). Each method refills
+// The operators' NextBatch methods (DESIGN.md §15). Each one refills
 // the caller's Batch with one run of rows, polling the governor once per
 // batch instead of once per row. Two invariants hold throughout:
 //
@@ -21,26 +21,20 @@ import (
 	"conquer/internal/value"
 )
 
-// ResolveBatchSize canonicalizes a configured batch size: 0 means
-// batching is on at DefaultBatchSize, negative forces row-at-a-time
-// (returned as 0, the exec-level row-mode setting), positive passes
-// through. engine.Options.BatchSize and plan.Options.BatchSize share
-// this convention.
+// ResolveBatchSize canonicalizes a configured batch size: n <= 0
+// resolves to DefaultBatchSize, positive values pass through
+// (plan.Options.BatchSize follows this convention).
 func ResolveBatchSize(n int) int {
-	switch {
-	case n == 0:
+	if n <= 0 {
 		return DefaultBatchSize
-	case n < 0:
-		return 0
 	}
 	return n
 }
 
-// batchProbe is the shared probe-side state of the join batch paths: the
-// probe input batch with a cursor, a forward-only output slab, and the
-// run-length ordinal generator that tags join fanout (base carried over
-// from the probe row, sequence counting emissions per base — the same
-// numbering the row path's consumers derive from leafTracker).
+// batchProbe is the shared probe-side state of the joins: the probe input
+// batch with a cursor, a forward-only output slab, and the run-length
+// ordinal generator that tags join fanout (base carried over from the
+// probe row, sequence counting emissions per base).
 type batchProbe struct {
 	probe    *Batch
 	idx      int
@@ -128,7 +122,7 @@ func (s *Scan) NextBatch(b *Batch) error {
 // NextBatch fills b from the current morsel, claiming the next one when
 // it runs dry. A batch never crosses a morsel boundary, and every row is
 // tagged with its base-table ordinal so downstream consumers can restore
-// serial order without leaf callbacks.
+// serial order.
 func (s *MorselScan) NextBatch(b *Batch) error {
 	b.Reset()
 	for {
@@ -172,7 +166,7 @@ func (f *Filter) NextBatch(b *Batch) error {
 		if err := f.gov.PollBatch(); err != nil {
 			return err
 		}
-		if err := NextBatchOf(f.Child, b); err != nil {
+		if err := f.Child.NextBatch(b); err != nil {
 			return err
 		}
 		n := b.Len()
@@ -201,7 +195,7 @@ func (p *Project) NextBatch(b *Batch) error {
 	if p.scratch == nil || p.scratch.Cap() < b.Cap() {
 		p.scratch = NewBatch(b.Cap())
 	}
-	if err := NextBatchOf(p.Child, p.scratch); err != nil {
+	if err := p.Child.NextBatch(p.scratch); err != nil {
 		return err
 	}
 	b.Reset()
@@ -300,7 +294,7 @@ func (j *HashJoin) NextBatch(b *Batch) error {
 			if j.bp.probe == nil {
 				j.bp.probe = NewBatch(b.Cap())
 			}
-			if err := NextBatchOf(j.Left, j.bp.probe); err != nil {
+			if err := j.Left.NextBatch(j.bp.probe); err != nil {
 				return err
 			}
 			pn := j.bp.probe.Len()
@@ -354,7 +348,7 @@ func (j *IndexJoin) NextBatch(b *Batch) error {
 			if j.bp.probe == nil {
 				j.bp.probe = NewBatch(b.Cap())
 			}
-			if err := NextBatchOf(j.Outer, j.bp.probe); err != nil {
+			if err := j.Outer.NextBatch(j.bp.probe); err != nil {
 				return err
 			}
 			pn := j.bp.probe.Len()
@@ -384,7 +378,7 @@ func (d *Distinct) NextBatch(b *Batch) error {
 		if err := d.gov.PollBatch(); err != nil {
 			return err
 		}
-		if err := NextBatchOf(d.Child, b); err != nil {
+		if err := d.Child.NextBatch(b); err != nil {
 			return err
 		}
 		n := b.Len()
@@ -409,7 +403,7 @@ func (d *Distinct) NextBatch(b *Batch) error {
 		}
 		if fresh > 0 {
 			// One lump reservation per batch; a failed reservation still
-			// charges (drainBuffered convention).
+			// charges (drainBatches convention).
 			d.stats.addBuffered(fresh)
 			d.reserved += fresh
 			if err := d.gov.ReserveBuffered(fresh); err != nil {
@@ -430,7 +424,7 @@ func (l *Limit) NextBatch(b *Batch) error {
 		b.Reset()
 		return nil
 	}
-	if err := NextBatchOf(l.Child, b); err != nil {
+	if err := l.Child.NextBatch(b); err != nil {
 		return err
 	}
 	n := b.Len()
@@ -494,7 +488,7 @@ func (g *Gather) NextBatch(b *Batch) error {
 		return err
 	}
 	if g.serial {
-		if err := NextBatchOf(g.Child, b); err != nil {
+		if err := g.Child.NextBatch(b); err != nil {
 			return err
 		}
 		n := int64(b.Len())

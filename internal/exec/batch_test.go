@@ -108,25 +108,27 @@ func TestBatchTruncate(t *testing.T) {
 	}
 }
 
-// TestFilterBatchMatchesRowNULLHeavy proves the batch filter pipeline
-// (Shrink over selection vectors) agrees with the row pipeline when most
-// predicate inputs are NULL, across batch sizes that divide the input
-// unevenly.
-func TestFilterBatchMatchesRowNULLHeavy(t *testing.T) {
-	tb := nullHeavyTable(t, 1000)
-	mk := func() Operator {
+// TestFilterBatchNULLHeavy proves the batch filter (Shrink over
+// selection vectors) rejects NULL predicate inputs and keeps exactly the
+// rows nullHeavyTable's rule makes qualify, across batch sizes that
+// divide the input unevenly.
+func TestFilterBatchNULLHeavy(t *testing.T) {
+	const n = 1000
+	tb := nullHeavyTable(t, n)
+	// qty is i%11 on every third row and NULL elsewhere, so qty < 5 keeps
+	// exactly the rows with i%3 == 0 and i%11 < 5.
+	var want [][]value.Value
+	for i := 0; i < n; i++ {
+		if i%3 == 0 && i%11 < 5 {
+			want = append(want, []value.Value{value.Int(int64(i)), value.Int(int64(i % 11))})
+		}
+	}
+	for _, size := range []int{1, 7, 64, 1024} {
 		f, err := NewFilter(NewScan(tb, "f"), expr(t, "qty < 5"))
 		if err != nil {
 			t.Fatal(err)
 		}
-		return f
-	}
-	want := mustCollect(t, mk())
-	if len(want) == 0 {
-		t.Fatal("empty baseline")
-	}
-	for _, size := range []int{1, 7, 64, 1024} {
-		requireSameRows(t, want, collectBatches(t, mk(), size))
+		requireSameRows(t, want, collectBatches(t, f, size))
 	}
 }
 
@@ -155,38 +157,43 @@ func TestFilterBatchRunsDry(t *testing.T) {
 	}
 }
 
-// TestAdapterPreservesProbabilities proves a plan whose join has no
-// native batch path — CrossJoin composes through NextBatchOf's
-// row→batch adapter — carries the Figure 2 probability columns through
-// batch execution byte-identically to the row pipeline.
-func TestAdapterPreservesProbabilities(t *testing.T) {
-	mk := func(t *testing.T) Operator {
-		ord, cust := testTables(t)
-		cj := NewCrossJoin(NewScan(ord, "o"), NewScan(cust, "c"))
-		f, err := NewFilter(cj, expr(t, "o.cidfk = c.id"))
+// TestCrossJoinBatchPreservesProbabilities proves CrossJoin's batch path
+// joins the Figure 2 orders and customers into exactly the six rows of
+// the paper's example, carrying both probability columns through intact,
+// whether a batch holds one row, splits the product unevenly or holds it
+// whole.
+func TestCrossJoinBatchPreservesProbabilities(t *testing.T) {
+	s, f := value.Str, value.Float
+	ord := func(id, orderid, cidfk string, qty int64, prob float64) []value.Value {
+		return []value.Value{s(id), s(orderid), s(cidfk), value.Int(qty), f(prob)}
+	}
+	cust := func(id, custid, name string, balance, prob float64) []value.Value {
+		return []value.Value{s(id), s(custid), s(name), f(balance), f(prob)}
+	}
+	join := func(o, c []value.Value) []value.Value { return append(append([]value.Value{}, o...), c...) }
+	o1, o12, o13 := ord("o1", "11", "c1", 3, 1), ord("o2", "12", "c1", 2, 0.5), ord("o2", "13", "c2", 5, 0.5)
+	m1, m2 := cust("c1", "m1", "John", 20000, 0.7), cust("c1", "m2", "John", 30000, 0.3)
+	m3, m4 := cust("c2", "m3", "Mary", 27000, 0.2), cust("c2", "m4", "Marion", 5000, 0.8)
+	// Figure 2: each of the three orders matches its customer's two
+	// alternative tuples.
+	want := [][]value.Value{
+		join(o1, m1), join(o1, m2),
+		join(o12, m1), join(o12, m2),
+		join(o13, m3), join(o13, m4),
+	}
+	for _, size := range []int{1, 4, 1024} {
+		orders, customers := testTables(t)
+		cj := NewCrossJoin(NewScan(orders, "o"), NewScan(customers, "c"))
+		filter, err := NewFilter(cj, expr(t, "o.cidfk = c.id"))
 		if err != nil {
 			t.Fatal(err)
 		}
-		return f
-	}
-	if _, ok := interface{}(NewCrossJoin(NewScan(nullHeavyTable(t, 1), "a"), NewScan(nullHeavyTable(t, 1), "b"))).(BatchOperator); ok {
-		t.Fatal("CrossJoin grew a native batch path; point this test at another adapter-only operator")
-	}
-	want := mustCollect(t, mk(t))
-	// Figure 2: each of the three orders matches its customer's two
-	// alternative tuples.
-	if len(want) != 6 {
-		t.Fatalf("baseline rows = %d", len(want))
-	}
-	got := collectBatches(t, mk(t), 4)
-	requireSameRows(t, want, got)
-	// Every joined row must keep both source probability columns intact.
-	for _, row := range got {
-		if p := row[4].AsFloat(); p <= 0 || p > 1 {
-			t.Fatalf("orders prob out of range: %v", row)
-		}
-		if p := row[9].AsFloat(); p <= 0 || p > 1 {
-			t.Fatalf("customer prob out of range: %v", row)
+		got := collectBatches(t, filter, size)
+		requireSameRows(t, want, got)
+		for i, row := range got {
+			if !value.RowsIdentical(row[4:5], want[i][4:5]) || !value.RowsIdentical(row[9:], want[i][9:]) {
+				t.Fatalf("size %d row %d: probabilities (%v, %v), want (%v, %v)", size, i, row[4], row[9], want[i][4], want[i][9])
+			}
 		}
 	}
 }

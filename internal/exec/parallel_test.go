@@ -234,7 +234,7 @@ func TestGatherCancellation(t *testing.T) {
 	g.MorselSize = 64
 	gov := NewGovernor(ctx, Limits{})
 	Attach(g, gov)
-	_, err := CollectGoverned(g, gov)
+	_, _, err := CollectBatchesGoverned(g, gov, DefaultBatchSize)
 	if !errors.Is(err, qerr.ErrCanceled) {
 		t.Fatalf("want qerr.ErrCanceled, got %v", err)
 	}

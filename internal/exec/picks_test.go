@@ -70,9 +70,9 @@ func projectPicks(t *testing.T, full Operator, p Picks) Operator {
 
 // TestJoinPicksMatchProjection checks, for HashJoin, IndexJoin and
 // CrossJoin, that a join emitting only its picked columns returns exactly
-// Project(picks) over the same join at full width — on the row and the
-// batch path, serially, at parallelism 2 (split probe clones must carry
-// the picks) and over a 2-shard outer scan.
+// Project(picks) over the same join at full width — serially, at
+// parallelism 2 (split probe clones must carry the picks) and over a
+// 2-shard outer scan.
 func TestJoinPicksMatchProjection(t *testing.T) {
 	fact, dim := parTables(t, 3000)
 	if err := dim.CreateIndex("k"); err != nil {
@@ -92,38 +92,31 @@ func TestJoinPicksMatchProjection(t *testing.T) {
 				t.Fatalf("%s picks %d: empty reference", kind, pi)
 			}
 			for _, cfg := range configs {
-				for _, batch := range []int{0, 256} {
-					label := fmt.Sprintf("%s picks=%d par=%d shards=%d batch=%d", kind, pi, cfg.par, cfg.shards, batch)
-					sc := NewScan(fact, "f")
-					if cfg.shards > 1 {
-						sc.Sharded = storage.NewShardedTable(fact, cfg.shards)
-					}
-					j := pickJoin(t, kind, sc, dim, cfg.par)
-					if err := j.SetOutput(pk); err != nil {
-						t.Fatalf("%s: %v", label, err)
-					}
-					if got, wantW := len(j.Schema()), len(pk.Left)+len(pk.Right); got != wantW {
-						t.Fatalf("%s: schema width %d, want %d", label, got, wantW)
-					}
-					var root Operator = j
-					if cfg.par > 1 || cfg.shards > 1 {
-						g := NewGather(j, cfg.par)
-						g.Shards, g.MorselSize = cfg.shards, 64
-						root = g
-					}
-					var got [][]value.Value
-					if batch > 0 {
-						got = collectBatches(t, root, batch)
-					} else {
-						got = mustCollect(t, root)
-					}
-					if len(got) != len(want) {
-						t.Fatalf("%s: %d rows, want %d", label, len(got), len(want))
-					}
-					for i := range want {
-						if !value.RowsIdentical(want[i], got[i]) {
-							t.Fatalf("%s: row %d = %v, want %v", label, i, got[i], want[i])
-						}
+				label := fmt.Sprintf("%s picks=%d par=%d shards=%d", kind, pi, cfg.par, cfg.shards)
+				sc := NewScan(fact, "f")
+				if cfg.shards > 1 {
+					sc.Sharded = storage.NewShardedTable(fact, cfg.shards)
+				}
+				j := pickJoin(t, kind, sc, dim, cfg.par)
+				if err := j.SetOutput(pk); err != nil {
+					t.Fatalf("%s: %v", label, err)
+				}
+				if got, wantW := len(j.Schema()), len(pk.Left)+len(pk.Right); got != wantW {
+					t.Fatalf("%s: schema width %d, want %d", label, got, wantW)
+				}
+				var root Operator = j
+				if cfg.par > 1 || cfg.shards > 1 {
+					g := NewGather(j, cfg.par)
+					g.Shards, g.MorselSize = cfg.shards, 64
+					root = g
+				}
+				got := collectBatches(t, root, 256)
+				if len(got) != len(want) {
+					t.Fatalf("%s: %d rows, want %d", label, len(got), len(want))
+				}
+				for i := range want {
+					if !value.RowsIdentical(want[i], got[i]) {
+						t.Fatalf("%s: row %d = %v, want %v", label, i, got[i], want[i])
 					}
 				}
 			}

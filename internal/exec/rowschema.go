@@ -1,7 +1,8 @@
 // Package exec implements the physical query operators: scans, filters,
 // hash joins, index nested-loop joins, projection, hash aggregation,
-// sorting, DISTINCT and LIMIT — all pull-based iterators — together with a
-// compiler from sqlparse expressions to evaluators over operator rows.
+// sorting, DISTINCT and LIMIT — all pull-based batch iterators —
+// together with a compiler from sqlparse expressions to evaluators over
+// operator rows.
 package exec
 
 import (
@@ -71,44 +72,37 @@ func (rs RowSchema) Names() []string {
 	return out
 }
 
-// Operator is a pull-based physical operator. Usage:
+// Operator is a pull-based physical operator that produces rows a batch
+// at a time. Usage:
 //
 //	if err := op.Open(); err != nil { ... }
 //	defer op.Close()
+//	b := NewBatch(DefaultBatchSize)
 //	for {
-//		row, err := op.Next()
-//		if err != nil { ... }
-//		if row == nil { break } // exhausted
+//		if err := op.NextBatch(b); err != nil { ... }
+//		if b.Len() == 0 { break } // exhausted
+//		for i := 0; i < b.Len(); i++ { use(b.Row(i)) }
 //	}
 //
-// Returned rows may be reused or retained by the caller; operators always
-// hand out rows they will not mutate afterwards.
+// Rows handed out may be retained by the caller; operators always hand
+// out rows they will not mutate afterwards. The Batch itself is the
+// caller's and is refilled by the next call.
 type Operator interface {
 	Schema() RowSchema
 	Open() error
-	Next() ([]value.Value, error)
+	// NextBatch resets b and refills it with the next run of rows; an
+	// empty batch means the operator is exhausted.
+	NextBatch(b *Batch) error
 	Close() error
 	// Describe returns a one-line description for EXPLAIN output.
 	Describe() string
 }
 
-// Collect drains op into a slice of rows, handling Open/Close.
+// Collect drains op ungoverned into a slice of rows, handling
+// Open/Close.
 func Collect(op Operator) ([][]value.Value, error) {
-	if err := op.Open(); err != nil {
-		return nil, err
-	}
-	defer op.Close()
-	var rows [][]value.Value
-	for {
-		row, err := op.Next()
-		if err != nil {
-			return nil, err
-		}
-		if row == nil {
-			return rows, nil
-		}
-		rows = append(rows, row)
-	}
+	rows, _, err := CollectBatchesGoverned(op, nil, DefaultBatchSize)
+	return rows, err
 }
 
 // Explain renders the operator tree, one operator per line, children

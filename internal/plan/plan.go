@@ -38,10 +38,11 @@ type Options struct {
 	// partitions until the table version moves. nil disables sharding
 	// regardless of Shards.
 	Sharder func(*storage.Table) exec.ShardView
-	// BatchSize selects batch-at-a-time execution for the planned tree:
-	// 0 resolves to exec.DefaultBatchSize, positive values set the rows
-	// per batch, and negative values force row-at-a-time execution (see
-	// exec.ResolveBatchSize).
+	// BatchSize is the rows per batch of the planned tree's internal
+	// drains (materializing operators, join builds, Gather workers):
+	// values <= 0 resolve to exec.DefaultBatchSize (see
+	// exec.ResolveBatchSize); tests set small sizes to force batch
+	// boundaries.
 	BatchSize int
 }
 
@@ -148,7 +149,7 @@ func (p *planner) plan() (exec.Operator, error) {
 	if p.stmt.Limit >= 0 && !limitFused {
 		root = exec.NewLimit(root, p.stmt.Limit)
 	}
-	exec.SetBatchSize(root, exec.ResolveBatchSize(p.opts.BatchSize))
+	exec.SetBatchSize(root, p.opts.BatchSize)
 	return root, nil
 }
 

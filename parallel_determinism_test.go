@@ -17,7 +17,6 @@ import (
 	"conquer/internal/bench"
 	"conquer/internal/dirty"
 	"conquer/internal/engine"
-	"conquer/internal/exec"
 	"conquer/internal/qerr"
 	"conquer/internal/value"
 )
@@ -142,59 +141,6 @@ func TestShardedExecutionDeterministic(t *testing.T) {
 					t.Fatalf("Q%d rewritten shards=%d n=%d: %v", p.Number, sh, n, err)
 				}
 				sameResult(t, fmt.Sprintf("Q%d rewritten shards=%d n=%d", p.Number, sh, n), want[p.Number].rew, got)
-			}
-		}
-	}
-}
-
-// TestBatchExecutionDeterministic extends the determinism suite along
-// the batch axis: batch-at-a-time execution is a pure amortization of
-// per-row overheads, so all thirteen evaluation query pairs at every
-// point of the shards {1,2,4} × parallelism {1,2,8} grid with batching
-// on must match the serial, unsharded, *row-at-a-time* baseline
-// (BatchSize < 0) row for row — byte-identical except floats within
-// ProbEpsilon (DESIGN.md §15).
-func TestBatchExecutionDeterministic(t *testing.T) {
-	if testing.Short() {
-		t.Skip("generates a TPC-H workload")
-	}
-	d := determinismWorkload(t)
-	pairs, err := bench.PreparePairs()
-	if err != nil {
-		t.Fatal(err)
-	}
-	rowSerial := engine.NewWithOptions(d.Store, engine.Options{Parallelism: 1, Shards: 1, BatchSize: -1})
-	type baseline struct{ orig, rew *engine.Result }
-	want := map[int]baseline{}
-	for _, p := range pairs {
-		orig, err := rowSerial.QueryStmt(p.Original)
-		if err != nil {
-			t.Fatalf("Q%d original row-mode serial: %v", p.Number, err)
-		}
-		rew, err := rowSerial.QueryStmt(p.Rewritten)
-		if err != nil {
-			t.Fatalf("Q%d rewritten row-mode serial: %v", p.Number, err)
-		}
-		want[p.Number] = baseline{orig: orig, rew: rew}
-	}
-	for _, sh := range []int{1, 2, 4} {
-		for _, n := range []int{1, 2, 8} {
-			eng := engine.NewWithOptions(d.Store, engine.Options{Parallelism: n, Shards: sh})
-			for _, p := range pairs {
-				got, err := eng.QueryStmt(p.Original)
-				if err != nil {
-					t.Fatalf("Q%d original batched shards=%d n=%d: %v", p.Number, sh, n, err)
-				}
-				if got.Stats.BatchSize != exec.DefaultBatchSize {
-					t.Fatalf("Q%d: batch size %d, want default %d", p.Number, got.Stats.BatchSize, exec.DefaultBatchSize)
-				}
-				sameResult(t, fmt.Sprintf("Q%d original batched shards=%d n=%d", p.Number, sh, n), want[p.Number].orig, got)
-
-				got, err = eng.QueryStmt(p.Rewritten)
-				if err != nil {
-					t.Fatalf("Q%d rewritten batched shards=%d n=%d: %v", p.Number, sh, n, err)
-				}
-				sameResult(t, fmt.Sprintf("Q%d rewritten batched shards=%d n=%d", p.Number, sh, n), want[p.Number].rew, got)
 			}
 		}
 	}
